@@ -26,7 +26,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_json.hh"
@@ -41,18 +40,8 @@ namespace {
 size_t
 ps_workers(size_t parts, size_t threads)
 {
-    if (threads == 0) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        threads = hw != 0 ? hw : 1;
-    }
-    return std::min(parts, threads);
-}
-
-size_t
-host_cores()
-{
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw != 0 ? hw : 1;
+    return std::min(parts, threads != 0 ? threads
+                                        : fame::PartitionSet::hostCores());
 }
 
 /**
@@ -66,7 +55,7 @@ host_cores()
 void
 annotate_multicore(benchmark::State &state, size_t workers)
 {
-    const size_t cores = host_cores();
+    const size_t cores = fame::PartitionSet::hostCores();
     state.counters["workers"] =
         benchmark::Counter(static_cast<double>(workers));
     state.counters["cores"] =

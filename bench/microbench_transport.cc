@@ -45,18 +45,11 @@ using namespace diablo::time_literals;
 
 namespace {
 
-size_t
-host_cores()
-{
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw != 0 ? hw : 1;
-}
-
 /** Stamp a row with the worker/core shape (see microbench_fame.cc). */
 void
 annotate_multicore(benchmark::State &state, size_t workers)
 {
-    const size_t cores = host_cores();
+    const size_t cores = fame::PartitionSet::hostCores();
     state.counters["workers"] =
         benchmark::Counter(static_cast<double>(workers));
     state.counters["cores"] =

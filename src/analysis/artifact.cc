@@ -112,14 +112,19 @@ RunArtifact::fingerprint() const
             fp = QuantileSketch::chainFingerprint(fp, v);
         }
     }
-    // Pool makes/returns are event-driven and engine-independent; the
-    // recycle/heap split and high water are wall-clock artifacts, and
-    // per-partition event counts differ single-vs-sharded — excluded.
+    // Total pool makes/returns are event-driven and engine-independent,
+    // but their split over partition rows is not (one row single, one
+    // per partition sharded), so only the sums fold.  The recycle/heap
+    // split and high water are wall-clock artifacts and per-partition
+    // event counts differ single-vs-sharded — excluded.
+    uint64_t makes = 0;
+    uint64_t returns = 0;
     for (const PartitionRow &p : partition_rows) {
-        fp = QuantileSketch::chainFingerprint(fp, p.pool_makes);
-        fp = QuantileSketch::chainFingerprint(fp, p.pool_returns);
+        makes += p.pool_makes;
+        returns += p.pool_returns;
     }
-    return fp;
+    fp = QuantileSketch::chainFingerprint(fp, makes);
+    return QuantileSketch::chainFingerprint(fp, returns);
 }
 
 std::string
@@ -141,13 +146,6 @@ RunArtifact::toJson() const
     if (cores != 0) {
         w.field("cores", cores);
         w.field("oversubscribed", oversubscribed);
-    }
-    if (!worker_cpus.empty()) {
-        w.beginArray("worker_cpus");
-        for (int cpu : worker_cpus) {
-            w.value(static_cast<int64_t>(cpu));
-        }
-        w.endArray();
     }
     w.field("executed_events", executed_events);
     w.field("quanta", quanta);

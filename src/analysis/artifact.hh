@@ -18,11 +18,12 @@
  * Determinism: fingerprint() chains the latency-digest fingerprints
  * with every event-driven counter, in a fixed field order, using the
  * same order-sensitive mix the seq≡par engine tests use.  Two runs of
- * the same scenario on the sequential and parallel engines — or with
- * the telemetry probe on and off — must produce equal fingerprints;
- * wall-clock-dependent counters (pool recycle/heap split, high water)
- * and engine-internal event counts are deliberately excluded, and are
- * reported but never folded.
+ * the same scenario on any engine (single, seq, par, --processes) — or
+ * with the telemetry probe on and off — must produce equal
+ * fingerprints.  Wall-clock-dependent counters (pool recycle/heap
+ * split, high water), engine-internal event counts, the per-partition
+ * split of the pool ledger and the datapath batching group are
+ * deliberately excluded, and are reported but never folded.
  */
 
 #include <cstdint>
@@ -77,16 +78,10 @@ struct RunArtifact {
     uint64_t threads_requested = 0;
     uint64_t partitions = 1;
     uint64_t workers = 1;
-    /** Online CPUs the engine saw (0 = not recorded). */
+    /** Host cores the engine saw (0 = not recorded). */
     uint64_t cores = 0;
-    /** True when the run fused more workers than the host has CPUs. */
+    /** True when the run fused more workers than the host has cores. */
     bool oversubscribed = false;
-    /**
-     * Worker -> cpu pinning map of the last parallel run (-1 =
-     * unpinned); empty single-engine.  Reported, never fingerprinted:
-     * placement must not affect results.
-     */
-    std::vector<int> worker_cpus;
 
     uint32_t nodes = 0;
     double elapsed_us = 0.0; ///< measured phase, simulated time

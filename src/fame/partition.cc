@@ -1,5 +1,8 @@
 #include "fame/partition.hh"
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <algorithm>
 #include <cstring>
 #include <map>
@@ -9,6 +12,39 @@
 
 namespace diablo {
 namespace fame {
+
+namespace {
+
+/** CPUs the calling thread may run on, ascending (empty on error). */
+std::vector<int>
+threadCpus()
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    std::vector<int> cpus;
+    if (pthread_getaffinity_np(pthread_self(), sizeof(set), &set) == 0) {
+        for (int c = 0; c < CPU_SETSIZE; ++c) {
+            if (CPU_ISSET(c, &set)) {
+                cpus.push_back(c);
+            }
+        }
+    }
+    return cpus;
+}
+
+/** Restrict the calling thread to @p cpus; best effort, like a hint. */
+void
+setThreadCpus(const std::vector<int> &cpus)
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    for (int c : cpus) {
+        CPU_SET(c, &set);
+    }
+    pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
+}
+
+} // namespace
 
 void
 PartitionSet::Channel::validatePost(SimTime when) const
@@ -80,7 +116,7 @@ PartitionSet::growLaneDirty(WorkerLane &lane)
     lane.dirty_cap = cap;
 }
 
-PartitionSet::PartitionSet(size_t n) : topo_(CpuTopology::host())
+PartitionSet::PartitionSet(size_t n)
 {
     if (n == 0) {
         fatal("PartitionSet: need at least one partition");
@@ -98,7 +134,6 @@ PartitionSet::PartitionSet(size_t n) : topo_(CpuTopology::host())
     worker_parts_.resize(1);
     ensureLanes(1);
     lane_active_ = 1;
-    worker_cpu_.assign(1, -1);
 }
 
 void
@@ -231,54 +266,15 @@ PartitionSet::setParallelism(size_t n)
     threads_ = n;
 }
 
-void
-PartitionSet::setWorkerPinning(bool enable)
-{
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    if (run_active_) {
-        fatal("PartitionSet: setWorkerPinning while a parallel run is "
-              "live");
-    }
-    pin_mode_ = enable ? PinMode::Auto : PinMode::Off;
-    pin_cpus_.clear();
-}
-
-void
-PartitionSet::setWorkerCpus(std::vector<int> cpus)
-{
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    if (run_active_) {
-        fatal("PartitionSet: setWorkerCpus while a parallel run is "
-              "live");
-    }
-    for (int c : cpus) {
-        if (topo_.llcGroupOf(c) < 0) {
-            fatal("PartitionSet: setWorkerCpus: cpu %d is not an online "
-                  "CPU of this host's topology (%zu CPUs)",
-                  c, topo_.cpuCount());
-        }
-    }
-    pin_cpus_ = std::move(cpus);
-    pin_mode_ = PinMode::Explicit;
-}
-
-void
-PartitionSet::setCpuTopology(CpuTopology topo)
-{
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    if (run_active_) {
-        fatal("PartitionSet: setCpuTopology while a parallel run is "
-              "live");
-    }
-    topo_ = std::move(topo);
-}
-
 size_t
 PartitionSet::parallelism() const
 {
-    if (threads_ != 0) {
-        return threads_;
-    }
+    return threads_ != 0 ? threads_ : hostCores();
+}
+
+size_t
+PartitionSet::hostCores()
+{
     const unsigned hw = std::thread::hardware_concurrency();
     return hw != 0 ? hw : 1;
 }
@@ -321,14 +317,11 @@ PartitionSet::assignPartitions(size_t workers)
         lanes_[w].published_min = SimTime::max();
     }
 
-    std::vector<double> load(workers, 0.0);
     if (workers == 1) {
         for (size_t p = 0; p < parts_.size(); ++p) {
             worker_of_[p] = 0;
             worker_parts_[0].push_back(p);
-            load[0] += weights_[p];
         }
-        placeWorkers(workers, load);
         return;
     }
 
@@ -348,6 +341,7 @@ PartitionSet::assignPartitions(size_t workers)
     }
     const double ideal = total / static_cast<double>(workers);
     const double cap = ideal * 1.25;
+    std::vector<double> load(workers, 0.0);
 
     // Collect groups in first-appearance order (deterministic).
     std::vector<std::vector<size_t>> group_parts;
@@ -422,91 +416,6 @@ PartitionSet::assignPartitions(size_t workers)
     // partitions are independent inside a quantum).
     for (auto &wp : worker_parts_) {
         std::sort(wp.begin(), wp.end());
-    }
-    placeWorkers(workers, load);
-}
-
-void
-PartitionSet::placeWorkers(size_t workers, const std::vector<double> &load)
-{
-    worker_cpu_.assign(workers, -1);
-    if (pin_mode_ == PinMode::Explicit) {
-        for (size_t w = 0; w < workers && w < pin_cpus_.size(); ++w) {
-            worker_cpu_[w] = pin_cpus_[w];
-        }
-    } else if (pin_mode_ == PinMode::Auto) {
-        // Pin only when every worker can own a CPU: an oversubscribed
-        // run gains nothing from affinity (the barrier already parks
-        // immediately), and a solo run should not perturb the caller's
-        // mask for a degenerate fusion.
-        if (workers < 2 || workers > topo_.cpuCount()) {
-            for (size_t w = 0; w < workers; ++w) {
-                lanes_[w].cpu = -1;
-            }
-            return;
-        }
-        // Worker-to-worker affinity = number of channels crossing the
-        // pair.  Heaviest worker first, each taking the free CPU with
-        // the most affinity into LLC groups of already-placed partners
-        // (ties: lowest cpu id) — so fused sets that exchange messages
-        // land on LLC siblings and the serial drain stays on-package.
-        // Affinity into the same NUMA node but a different LLC scores
-        // half the same-LLC tier: on a multi-socket host, when no
-        // LLC-sibling CPU is free, a worker still lands on its
-        // partners' node rather than paying a cross-socket drain.
-        std::vector<uint32_t> aff(workers * workers, 0);
-        for (const auto &ch : channels_) {
-            const uint32_t a = worker_of_[ch->src_];
-            const uint32_t b = worker_of_[ch->dst_];
-            if (a != b) {
-                ++aff[a * workers + b];
-                ++aff[b * workers + a];
-            }
-        }
-        std::vector<size_t> order(workers);
-        for (size_t w = 0; w < workers; ++w) {
-            order[w] = w;
-        }
-        std::stable_sort(order.begin(), order.end(),
-                         [&load](size_t a, size_t b) {
-                             return load[a] > load[b];
-                         });
-        std::vector<char> taken(topo_.cpuCount(), 0);
-        for (size_t w : order) {
-            size_t best = SIZE_MAX;
-            uint64_t best_score = 0;
-            for (size_t c = 0; c < topo_.cpuCount(); ++c) {
-                if (taken[c]) {
-                    continue;
-                }
-                uint64_t score = 0;
-                const int c_numa = c < topo_.numa_of.size()
-                                       ? topo_.numa_of[c]
-                                       : 0;
-                for (size_t v = 0; v < workers; ++v) {
-                    if (v == w || worker_cpu_[v] < 0) {
-                        continue;
-                    }
-                    if (topo_.llcGroupOf(worker_cpu_[v]) == topo_.llc_of[c]) {
-                        score += 2 * aff[w * workers + v];
-                    } else if (topo_.numaNodeOf(worker_cpu_[v]) == c_numa) {
-                        score += aff[w * workers + v];
-                    }
-                }
-                if (best == SIZE_MAX || score > best_score) {
-                    best = c;
-                    best_score = score;
-                }
-            }
-            if (best == SIZE_MAX) {
-                continue; // unreachable: workers <= cpuCount above
-            }
-            taken[best] = 1;
-            worker_cpu_[w] = topo_.cpus[best];
-        }
-    }
-    for (size_t w = 0; w < workers; ++w) {
-        lanes_[w].cpu = worker_cpu_[w];
     }
 }
 
@@ -745,11 +654,8 @@ PartitionSet::ensureWorkerPool(size_t pool_threads)
 void
 PartitionSet::workerLoop(size_t worker_id)
 {
-    // The thread's inherited mask is home base: runs whose placement
-    // pins this worker narrow it, runs that don't restore it.
-    const SavedAffinity home = saveCurrentThreadAffinity();
-    bool pinned = false;
     uint64_t seen_generation = 0;
+    bool pinned = false;
     for (;;) {
         bool participate;
         int cpu = -1;
@@ -767,17 +673,18 @@ PartitionSet::workerLoop(size_t worker_id)
             // extra threads parked; they are not counted in
             // workers_running_ and never touch the barrier.
             participate = worker_id < par_workers_;
-            if (participate) {
-                cpu = worker_cpu_[worker_id];
+            if (participate && pin_workers_) {
+                cpu = home_cpus_[worker_id];
             }
         }
         if (!participate) {
             continue;
         }
         if (cpu >= 0) {
-            pinned = pinCurrentThreadToCpu(cpu);
+            setThreadCpus({cpu});
+            pinned = true;
         } else if (pinned) {
-            restoreCurrentThreadAffinity(home);
+            setThreadCpus(home_cpus_);
             pinned = false;
         }
         // The initial window state was published under pool_mu_, and
@@ -810,7 +717,12 @@ PartitionSet::runParallel(SimTime until)
     const size_t workers = std::min(parts_.size(), parallelism());
     assignPartitions(workers);
     par_workers_ = workers;
-    last_oversubscribed_ = workers > topo_.cpuCount();
+    last_oversubscribed_ = workers > hostCores();
+    // One CPU per worker when they all fit in the caller's mask: worker
+    // w runs on its w-th CPU, so a spinning worker never shares a CPU
+    // with the sibling it waits for (see DESIGN.md §6).
+    home_cpus_ = threadCpus();
+    pin_workers_ = workers >= 2 && workers <= home_cpus_.size();
     par_q_ = q;
     par_until_ = until;
     par_t_ = nextWindowStart(SimTime(), q, until);
@@ -818,15 +730,8 @@ PartitionSet::runParallel(SimTime until)
     par_done_ = par_t_ >= until;
 
     if (!par_done_) {
-        // The caller doubles as worker 0: borrow its affinity for the
-        // run when the placement pinned worker 0, and hand it back on
-        // exit regardless of how the run went.
-        const int cpu0 = worker_cpu_.empty() ? -1 : worker_cpu_[0];
-        SavedAffinity home;
-        bool pinned0 = false;
-        if (cpu0 >= 0) {
-            home = saveCurrentThreadAffinity();
-            pinned0 = pinCurrentThreadToCpu(cpu0);
+        if (pin_workers_) {
+            setThreadCpus({home_cpus_[0]}); // the caller is worker 0
         }
         if (workers > 1) {
             barrier_.init(static_cast<uint32_t>(workers));
@@ -852,8 +757,8 @@ PartitionSet::runParallel(SimTime until)
         } else {
             workerBody(0); // fused to one worker: no pool, no barrier
         }
-        if (pinned0) {
-            restoreCurrentThreadAffinity(home);
+        if (pin_workers_) {
+            setThreadCpus(home_cpus_);
         }
     }
     {

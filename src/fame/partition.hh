@@ -52,16 +52,16 @@
  *     cacheline per tree node instead of all contending one atomic,
  *     waiters spin with bounded backoff (quanta are ~µs; a futex
  *     round trip costs more than most quanta) and park only after
- *     the budget — which drops to zero when workers outnumber online
- *     CPUs, because spinning on a timeshared core just burns the
+ *     the budget — which drops to zero when workers outnumber
+ *     hostCores(), because spinning on a timeshared core just burns the
  *     scheduler quantum the other worker needs.
- *  3. **Cache-topology-aware worker placement.**  Fusion derives a
- *     worker-to-worker affinity from the channels crossing them and
- *     pins workers so that heavily-communicating workers share a
- *     last-level cache (CpuTopology; sysfs-detected, deterministic
- *     fallback), keeping quantum-boundary message drains on-package.
- *     setWorkerCpus() overrides the map; setWorkerPinning(false)
- *     disables it.
+ *  3. **One CPU per worker.**  When every worker fits in the
+ *     caller's CPU mask, worker w is pinned to its w-th CPU for the
+ *     run (the caller's mask is restored after).  On a host with other
+ *     load this keeps a spinning worker off the CPU of the sibling it
+ *     waits for; unpinned, 4 workers on 4 busy CPUs ran ~9x slower.
+ *     Cache-topology-aware placement (LLC/NUMA scoring) was removed:
+ *     it never measured faster than plain distinct CPUs.
  *  4. **Per-worker lanes and arenas.**  All hot per-worker engine
  *     state — published minima, the cached event horizon, the dirty
  *     channel list — lives in one cacheline-aligned WorkerLane whose
@@ -121,7 +121,6 @@
 #include <vector>
 
 #include "core/arena.hh"
-#include "core/cpu_topology.hh"
 #include "core/simulator.hh"
 #include "fame/transport.hh"
 #include "fame/tree_barrier.hh"
@@ -329,44 +328,12 @@ class PartitionSet {
     uint32_t workerOfPartition(size_t i) const { return worker_of_[i]; }
 
     /**
-     * Enable/disable automatic worker-to-CPU pinning (default on).
-     * When on and the host has at least as many online CPUs as the run
-     * has workers, each worker is pinned to one CPU, placed so that
-     * workers exchanging channel traffic share a last-level cache.
-     * Oversubscribed runs (more workers than CPUs) are never pinned.
-     * Purely a wall-clock matter; results never depend on it.
+     * Host core count, `hardware_concurrency` (1 when unknown): the
+     * default parallelism and the oversubscription threshold.
      */
-    void setWorkerPinning(bool enable);
+    static size_t hostCores();
 
-    /**
-     * Explicit worker-to-CPU map: worker @p i is pinned to cpus[i];
-     * workers beyond the list run unpinned.  Every id must name an
-     * online CPU of the topology (fatal otherwise — a silent fallback
-     * would hide a stale pinning config from a different machine).
-     * Overrides the automatic placement; fatal while a run is live.
-     */
-    void setWorkerCpus(std::vector<int> cpus);
-
-    /**
-     * Replace the detected host topology (tests pin down placement on
-     * arbitrary machine shapes; tools may restrict the engine to a
-     * cpuset).  Call before setWorkerCpus — explicit maps are checked
-     * against the topology current at set time.  Fatal while a run is
-     * live.
-     */
-    void setCpuTopology(CpuTopology topo);
-
-    /** Topology the engine is placing workers against. */
-    const CpuTopology &cpuTopology() const { return topo_; }
-
-    /**
-     * CPU each worker of the most recent fusion was assigned to, -1
-     * for unpinned; index w is worker w.  Feeds the run artifact's
-     * engine section and the placement tests.
-     */
-    const std::vector<int> &lastRunWorkerCpus() const { return worker_cpu_; }
-
-    /** True when the last parallel run had more workers than CPUs. */
+    /** True when the last parallel run had more workers than hostCores(). */
     bool lastRunOversubscribed() const { return last_oversubscribed_; }
 
     /** Layout introspection for the false-sharing tests. */
@@ -526,6 +493,12 @@ class PartitionSet {
     size_t lastRunWorkers() const { return par_workers_; }
 
     /**
+     * True when no partition has a pending event and no channel holds
+     * an undelivered message, so no run can ever execute anything.
+     */
+    bool idle() { return earliestPendingTime() == SimTime::max(); }
+
+    /**
      * Zero the cumulative quantum counter and the last-run deltas.
      * (Executed-event totals are owned by the Simulators and stay
      * cumulative; the per-run accessors above are already deltas.)
@@ -558,8 +531,6 @@ class PartitionSet {
         uint32_t *dirty = nullptr;
         uint32_t dirty_count = 0;
         uint32_t dirty_cap = 0;
-        /** CPU this worker's thread is pinned to; -1 = unpinned. */
-        int cpu = -1;
         /** Worker-local scratch; nothing here is freed before the lane. */
         SlabArena arena;
     };
@@ -599,9 +570,6 @@ class PartitionSet {
 
     /** Fuse partitions onto @p workers (deterministic LPT greedy). */
     void assignPartitions(size_t workers);
-
-    /** Resolve worker -> CPU placement for the fusion just computed. */
-    void placeWorkers(size_t workers, const std::vector<double> &load);
 
     /** Grow lanes_ to at least @p workers lanes (never shrinks). */
     void ensureLanes(size_t workers);
@@ -717,12 +685,10 @@ class PartitionSet {
     TreeBarrier barrier_;
     size_t par_workers_ = 0;
 
-    // Worker placement (see setWorkerPinning/setWorkerCpus).
-    enum class PinMode { Auto, Off, Explicit };
-    CpuTopology topo_;
-    PinMode pin_mode_ = PinMode::Auto;
-    std::vector<int> pin_cpus_;   ///< Explicit worker -> cpu request
-    std::vector<int> worker_cpu_; ///< resolved placement of last fusion
+    // Worker pinning of the live run: the caller's CPUs at run start,
+    // and whether worker w runs on home_cpus_[w] (see runParallel).
+    std::vector<int> home_cpus_;
+    bool pin_workers_ = false;
     bool last_oversubscribed_ = false;
     bool clamp_warned_ = false;
 

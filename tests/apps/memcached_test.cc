@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "apps/mc_experiment.hh"
+#include "fame/partition.hh"
+#include "sim/fault.hh"
 
 namespace diablo {
 namespace apps {
@@ -38,6 +40,24 @@ TEST(Memcached, UdpExperimentCompletes)
     EXPECT_EQ(r.requests_completed + r.udp_timeouts, 28u * 20u);
     EXPECT_GT(r.requests_completed, 27u * 20u); // near-lossless tiny run
     EXPECT_GT(r.latency_us.count(), 0u);
+}
+
+TEST(Memcached, ShardedRunWaitsOutUdpRetryTimers)
+{
+    // A lossy trunk leaves clients waiting on 250 ms UDP retry timers,
+    // so whole 100 ms run windows execute no event while work is still
+    // pending.  That is not a deadlock: the run must complete.
+    const McExperimentParams p = tinyExperiment(true);
+    fame::PartitionSet ps(sim::Cluster::partitionsRequired(p.cluster));
+    McExperiment exp(ps, p);
+    sim::FaultPlan plan;
+    plan.trunkBrownout(SimTime(), 0, 0, 0.05, SimTime());
+    sim::FaultController fc(exp.cluster(), plan);
+    fc.install();
+    exp.run();
+    const McExperimentResult &r = exp.result();
+    EXPECT_GT(r.udp_retries, 0u);
+    EXPECT_EQ(r.requests_completed + r.udp_timeouts, 28u * 20u);
 }
 
 TEST(Memcached, TcpExperimentCompletes)

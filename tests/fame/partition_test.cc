@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <atomic>
 #include <numeric>
 
@@ -554,84 +556,54 @@ TEST(PartitionSet, WorkerLanesAreCacheLineIsolated)
     EXPECT_EQ(PartitionSet::workerLaneStride() % 64u, 0u);
 }
 
-TEST(PartitionSet, InvalidExplicitPinningIsFatal)
+TEST(PartitionSet, OversubscriptionFollowsHostCores)
 {
-    // A cpu id outside the topology is a config error, not a silent
-    // no-op: the run would quietly lose its placement guarantee.
+    // The barrier's zero-spin rule keys off the same core count that
+    // sets the default parallelism.
+    PartitionSet ps(4);
+    ps.setParallelism(2);
+    for (size_t i = 0; i < 4; ++i) {
+        ps.partition(i).schedule(SimTime::us(1), [] {});
+    }
+    ps.runParallel(SimTime::us(10));
+    EXPECT_EQ(ps.lastRunWorkers(), 2u);
+    EXPECT_EQ(ps.lastRunOversubscribed(), 2u > PartitionSet::hostCores());
+    PartitionSet dflt(1);
+    EXPECT_EQ(dflt.parallelism(), PartitionSet::hostCores());
+}
+
+TEST(PartitionSet, FittingWorkersArePinnedToDistinctCpus)
+{
+    cpu_set_t home;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(home), &home), 0);
+    if (CPU_COUNT(&home) < 2) {
+        GTEST_SKIP() << "needs two CPUs in the affinity mask";
+    }
+    std::vector<int> home_cpus;
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+        if (CPU_ISSET(c, &home)) {
+            home_cpus.push_back(c);
+        }
+    }
     PartitionSet ps(2);
-    ps.setCpuTopology(CpuTopology::flat(2)); // cpus {0, 1}
-    EXPECT_DEATH(ps.setWorkerCpus({0, 7}), "not an online CPU");
-}
-
-TEST(PartitionSet, ExplicitPinningIsReportedPerRun)
-{
-    PartitionSet ps(4);
     ps.setParallelism(2);
-    const CpuTopology &host = CpuTopology::host();
-    const int cpu = host.cpus.front();
-    // Both workers on the first online cpu: valid on any host, and the
-    // run artifact must report exactly what was applied.
-    ps.setWorkerCpus({cpu, cpu});
-    for (size_t i = 0; i < 4; ++i) {
-        ps.partition(i).schedule(SimTime::us(1), [] {});
+    // Each partition's event reads its worker thread's own mask.
+    cpu_set_t seen[2];
+    for (size_t i = 0; i < 2; ++i) {
+        ps.partition(i).schedule(SimTime::us(1), [&seen, i] {
+            sched_getaffinity(0, sizeof(seen[i]), &seen[i]);
+        });
     }
     ps.runParallel(SimTime::us(10));
-    ASSERT_EQ(ps.lastRunWorkerCpus().size(), 2u);
-    EXPECT_EQ(ps.lastRunWorkerCpus()[0], cpu);
-    EXPECT_EQ(ps.lastRunWorkerCpus()[1], cpu);
-    EXPECT_EQ(ps.lastRunOversubscribed(),
-              ps.lastRunWorkers() > host.cpuCount());
-}
-
-TEST(PartitionSet, PinningDisabledLeavesWorkersUnpinned)
-{
-    PartitionSet ps(4);
-    ps.setParallelism(2);
-    ps.setWorkerPinning(false);
-    for (size_t i = 0; i < 4; ++i) {
-        ps.partition(i).schedule(SimTime::us(1), [] {});
+    for (size_t i = 0; i < 2; ++i) {
+        const uint32_t w = ps.workerOfPartition(i);
+        EXPECT_EQ(CPU_COUNT(&seen[i]), 1) << "partition " << i;
+        EXPECT_TRUE(CPU_ISSET(home_cpus[w], &seen[i])) << "partition " << i;
     }
-    ps.runParallel(SimTime::us(10));
-    for (int cpu : ps.lastRunWorkerCpus()) {
-        EXPECT_EQ(cpu, -1);
-    }
-}
-
-TEST(PartitionSet, AutoPlacementCoLocatesChannelPartnersOnLlc)
-{
-    // Synthetic 4-cpu host with two 2-wide LLC domains.  Partitions
-    // 0<->1 and 2<->3 exchange channel traffic; the auto placement must
-    // put each chatty pair's workers on LLC siblings and keep the two
-    // pairs on distinct domains.  (Actual pinning may fail on a smaller
-    // real host — the *map* is what is checked.)
-    CpuTopology topo;
-    topo.cpus = {0, 1, 2, 3};
-    topo.llc_of = {0, 0, 1, 1};
-    topo.from_sysfs = true;
-
-    PartitionSet ps(4);
-    ps.setCpuTopology(topo);
-    ps.setParallelism(4);
-    ps.makeChannel(0, 1, 1_us);
-    ps.makeChannel(1, 0, 1_us);
-    ps.makeChannel(2, 3, 1_us);
-    ps.makeChannel(3, 2, 1_us);
-    for (size_t i = 0; i < 4; ++i) {
-        ps.partition(i).schedule(SimTime::us(1), [] {});
-    }
-    ps.runParallel(SimTime::us(10));
-
-    const std::vector<int> &cpus = ps.lastRunWorkerCpus();
-    ASSERT_EQ(cpus.size(), 4u);
-    for (int cpu : cpus) {
-        EXPECT_GE(cpu, 0); // auto pinning engaged: 2 <= workers <= cpus
-    }
-    auto domain = [&](size_t part) {
-        return topo.llcGroupOf(cpus[ps.workerOfPartition(part)]);
-    };
-    EXPECT_EQ(domain(0), domain(1));
-    EXPECT_EQ(domain(2), domain(3));
-    EXPECT_NE(domain(0), domain(2));
+    // The calling thread (worker 0) gets its own mask back.
+    cpu_set_t after;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(after), &after), 0);
+    EXPECT_TRUE(CPU_EQUAL(&home, &after));
 }
 
 TEST(PartitionSet, SchedulingBetweenRunsInvalidatesHorizons)

@@ -2,7 +2,8 @@
  * @file
  * End-to-end tests of the multiprocess engine launcher: a --processes 2
  * incast must produce a byte-identical fingerprint to the in-process
- * sequential run (with and without a fault plan), SIGTERM to the
+ * sequential run (with and without a fault plan) and to the single and
+ * parallel engines, SIGTERM to the
  * leader must forward to the engine children and finalize an
  * interrupted partial artifact with the interrupted exit code, and the
  * mode's argument validation must reject the unsupported combinations
@@ -59,11 +60,12 @@ slurp(const std::string &path)
                        std::istreambuf_iterator<char>());
 }
 
-/** The "fingerprint": "0x..." value of an artifact document. */
+/** The run's top-level "fingerprint": "0x..." value (latency digests
+ *  carry their own, nested deeper). */
 std::string
 fingerprintOf(const std::string &doc)
 {
-    const char key[] = "\"fingerprint\": \"";
+    const char key[] = "\n  \"fingerprint\": \"";
     const size_t at = doc.find(key);
     if (at == std::string::npos) {
         return "";
@@ -128,6 +130,32 @@ TEST(MultiprocessRun, FingerprintMatchesSequential)
 TEST(MultiprocessRun, FingerprintMatchesSequentialUnderFaults)
 {
     expectCrossProcessFingerprintMatch("faulted", kFaultPlan);
+}
+
+// DESIGN.md §10's contract, end to end: every engine — the single
+// Simulator, seq, par and the coupled processes — gives one
+// fingerprint.  Two racks so trunks (and their ChannelLink batching on
+// the sharded engines) exist.
+TEST(EngineParity, OneFingerprintAcrossAllEngines)
+{
+    const char incast[] =
+        " incast incast.servers=8 incast.racks=2 incast.iterations=5";
+    std::string want;
+    for (const char *engine : {"--engine single", "--engine seq",
+                               "--engine par", "--processes 2"}) {
+        const std::string json = tmpPath("parity.json");
+        ASSERT_EQ(runCmd(std::string(DIABLO_RUN_BIN) + incast + " " +
+                         engine + " --json " + json + " > /dev/null 2>&1"),
+                  0)
+            << engine;
+        const std::string fp = fingerprintOf(slurp(json));
+        ASSERT_FALSE(fp.empty()) << engine;
+        if (want.empty()) {
+            want = fp;
+        }
+        EXPECT_EQ(fp, want) << engine;
+        std::remove(json.c_str());
+    }
 }
 
 /** Spawn diablo_run with output to @p log; returns the child pid. */

@@ -197,8 +197,8 @@ TEST(RunInterrupt, GenerousWatchdogIsObserverFree)
     std::remove(j2.c_str());
 }
 
-/** Shared spec for the sweep tests: 4 grid points, two of them slow
- *  enough (~1 s) that a sub-second timeout reliably kills them. */
+/** Sweep spec: 4 grid points; the two 256 KiB points run ~1 s, the
+ *  4 KiB points tens of ms. */
 void
 writeMixSpec(const std::string &path)
 {
@@ -217,15 +217,35 @@ TEST(SweepRobustness, TimeoutKillAndResumeEndToEnd)
 {
     const std::string dir = tmpPath("sweep");
     const std::string spec = tmpPath("sweep.spec");
+    const std::string stretch = tmpPath("stretch.sh");
     writeMixSpec(spec);
     runCmd("rm -rf " + dir);
+    {
+        // Wrapper runner for pass 1: the slow points become 1 KiB
+        // incasts with endless iterations (a later assignment wins).
+        // They run until diablo_run's 60 s simulated cap, ~45 s of
+        // wall clock on a 4-vCPU host, far past the timeout below.
+        // One worker each leaves the host's cores to the fast points,
+        // which run unchanged and finish well inside the timeout.
+        std::ofstream out(stretch);
+        out << "#!/bin/sh\n"
+            << "case \" $* \" in\n"
+            << "  *\" incast.block_bytes=262144 \"*)\n"
+            << "    exec " << DIABLO_RUN_BIN
+            << " \"$@\" incast.block_bytes=1024"
+            << " incast.iterations=100000000 --threads 1 ;;\n"
+            << "esac\n"
+            << "exec " << DIABLO_RUN_BIN << " \"$@\"\n";
+    }
+    ASSERT_EQ(chmod(stretch.c_str(), 0755), 0);
 
-    // Pass 1: a timeout far below the slow points' ~1 s wall clock
-    // kills them (SIGTERM -> partial artifact); the fast points
-    // complete.  Exit: the partial-failure code, not 1.
+    // Pass 1: the timeout kills the stretched slow points (SIGTERM ->
+    // partial artifact); the fast points complete.  Exit: the
+    // partial-failure code, not 1.
     const std::string pass1 = std::string(DIABLO_SWEEP_BIN) + " " +
-                              spec + " --out " + dir +
-                              " --timeout 0.4 > " + dir + "_p1.log 2>&1";
+                              spec + " --out " + dir + " --runner " +
+                              stretch + " --timeout 10 > " + dir +
+                              "_p1.log 2>&1";
     EXPECT_EQ(runCmd(pass1), diablo::core::kExitSweepPartial);
     const std::string rep1 = slurp(dir + "/report.json");
     EXPECT_NE(rep1.find("\"status\": \"timeout\""), std::string::npos);
@@ -264,7 +284,7 @@ TEST(SweepRobustness, TimeoutKillAndResumeEndToEnd)
     // Both engine groups cross-checked (skipped + re-run mixed).
     EXPECT_NE(rep2.find("\"match\": true"), std::string::npos);
     runCmd("rm -rf " + dir + " " + dir + "_p1.log " + dir + "_p2.log " +
-           spec);
+           spec + " " + stretch);
 }
 
 TEST(SweepRobustness, RetriesPromoteFlakyJobsToGreen)

@@ -76,7 +76,6 @@
 #include "apps/mc_experiment.hh"
 #include "analysis/artifact.hh"
 #include "analysis/report.hh"
-#include "core/cpu_topology.hh"
 #include "core/interrupt.hh"
 #include "core/shm.hh"
 #include "fame/transport.hh"
@@ -94,7 +93,6 @@ enum class Engine { Single, Seq, Par };
 struct EngineOpts {
     Engine engine = Engine::Single;
     size_t threads = 0; ///< parallel worker cap; 0 = hardware default
-    bool pin = true;    ///< cache-topology-aware worker pinning
     bool mem_report = false;
     /**
      * Engine processes (--processes).  >1 selects the coupled
@@ -491,10 +489,9 @@ fillCommonArtifact(analysis::RunArtifact &a, sim::Cluster &cluster,
     a.workers = (ps != nullptr && opts.eng.engine == Engine::Par)
                     ? ps->lastRunWorkers()
                     : 1;
-    a.cores = CpuTopology::host().cpuCount();
+    a.cores = fame::PartitionSet::hostCores();
     if (ps != nullptr && opts.eng.engine == Engine::Par) {
         a.oversubscribed = ps->lastRunOversubscribed();
-        a.worker_cpus = ps->lastRunWorkerCpus();
     }
     a.quanta = ps != nullptr ? ps->quantaExecuted() : 0;
     a.executed_events = ps != nullptr ? ps->totalExecutedEvents()
@@ -521,7 +518,9 @@ fillCommonArtifact(analysis::RunArtifact &a, sim::Cluster &cluster,
         {"udp_socket_drops", cluster.totalUdpSocketDrops()},
         {"nic_rx_drops", cluster.totalNicRxDrops()},
     };
-    auto &dp = a.addGroup("datapath");
+    // Trunks on ChannelLink batch differently from in-process links,
+    // so trains/coalescing depend on the engine: reported, not folded.
+    auto &dp = a.addGroup("datapath", /*deterministic=*/false);
     dp.counters = {
         {"delivery_trains", cluster.totalDeliveryTrains()},
         {"deliveries_coalesced", cluster.totalDeliveriesCoalesced()},
@@ -608,7 +607,6 @@ runMemcached(const Config &cfg, const sim::FaultPlan &plan,
         ps = std::make_unique<fame::PartitionSet>(
             sim::Cluster::partitionsRequired(p.cluster));
         ps->setParallelism(eng.threads);
-        ps->setWorkerPinning(eng.pin);
         exp = std::make_unique<apps::McExperiment>(*ps, p);
     }
     std::unique_ptr<sim::FaultController> fc;
@@ -771,7 +769,6 @@ runIncast(const Config &cfg, const sim::FaultPlan &plan,
         ps = std::make_unique<fame::PartitionSet>(
             sim::Cluster::partitionsRequired(cp));
         ps->setParallelism(eng.threads);
-        ps->setWorkerPinning(eng.pin);
         cluster = std::make_unique<sim::Cluster>(*ps, cp);
     }
     const apps::IncastParams &ip = setup.ip;
@@ -1553,7 +1550,7 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "usage: %s <memcached|incast> [--fault-plan <file>] "
                      "[--engine <single|seq|par>] [--threads <N>] "
-                     "[--processes <N>] [--no-pin] [--json <path>] "
+                     "[--processes <N>] [--json <path>] "
                      "[--mem-report] [key=value ...]\n",
                      argv[0]);
         return 2;
@@ -1656,10 +1653,6 @@ main(int argc, char **argv)
             unsigned long long fd = 0;
             parseCount("--proc-result-fd", v, &fd);
             opts.proc_result_fd = static_cast<int>(fd);
-            continue;
-        }
-        if (std::strcmp(argv[i], "--no-pin") == 0) {
-            eng.pin = false;
             continue;
         }
         if (std::strcmp(argv[i], "--mem-report") == 0) {
